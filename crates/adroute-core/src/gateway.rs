@@ -14,6 +14,8 @@
 //! is one of the paper's open scaling issues, and experiment E6 sweeps
 //! this capacity.
 
+use std::collections::HashMap;
+
 use adroute_policy::{FlowSpec, PtId, TransitPolicy};
 use adroute_topology::AdId;
 
@@ -107,11 +109,21 @@ pub struct GatewayStats {
 }
 
 /// One AD's policy gateway.
+///
+/// Beside the handle cache it keeps an exact flow index: every cached
+/// handle is listed under its entry's flow, and nothing else is listed.
+/// Every cache write (install, eviction, re-install, teardown,
+/// invalidation, crash) updates the index through one private
+/// install/unindex pair, so [`PolicyGateway::purge_flow`] costs the
+/// handles it removes rather than a scan of the whole table.
 #[derive(Clone, Debug)]
 pub struct PolicyGateway {
     /// The AD this gateway guards.
     pub ad: AdId,
     handles: LruCache<HandleId, HandleEntry>,
+    /// `flow -> handles cached for it`; never holds an empty list, so its
+    /// size is bounded by the cache's.
+    by_flow: HashMap<FlowSpec, Vec<HandleId>>,
     up: bool,
     epoch: u64,
     /// Work counters.
@@ -124,6 +136,7 @@ impl PolicyGateway {
         PolicyGateway {
             ad,
             handles: LruCache::new(capacity),
+            by_flow: HashMap::new(),
             up: true,
             epoch: 0,
             stats: GatewayStats::default(),
@@ -133,6 +146,11 @@ impl PolicyGateway {
     /// Number of cached handles.
     pub fn cached_handles(&self) -> usize {
         self.handles.len()
+    }
+
+    /// Cached handles with their entries, least recently used first.
+    pub fn handles_by_recency(&self) -> impl Iterator<Item = (HandleId, &HandleEntry)> {
+        self.handles.iter_recency().map(|(h, e)| (*h, e))
     }
 
     /// Handles evicted so far (state-pressure measure).
@@ -158,6 +176,7 @@ impl PolicyGateway {
         self.up = false;
         self.epoch += 1;
         self.handles.clear();
+        self.by_flow.clear();
     }
 
     /// Restarts a crashed gateway with an empty cache: every flow through
@@ -203,7 +222,7 @@ impl PolicyGateway {
             self.stats.setups_rejected += 1;
             return Err(SetupError::PtMismatch { ad: self.ad });
         }
-        self.handles.insert(
+        self.install(
             setup.handle,
             HandleEntry {
                 flow: setup.flow,
@@ -237,7 +256,7 @@ impl PolicyGateway {
             self.stats.setups_rejected += 1;
             return Err(SetupError::NotOnRoute);
         }
-        self.handles.insert(
+        self.install(
             setup.handle,
             HandleEntry {
                 flow: setup.flow,
@@ -285,23 +304,74 @@ impl PolicyGateway {
 
     /// Tears down one handle (source-initiated teardown).
     pub fn teardown(&mut self, handle: HandleId) {
-        self.handles.remove(&handle);
+        if let Some(e) = self.handles.remove(&handle) {
+            self.unindex(handle, &e.flow);
+        }
     }
 
     /// Flushes every handle whose cached next/prev hop uses the failed
     /// adjacency, or whose flow matches the predicate (policy change).
     pub fn invalidate(&mut self, mut doomed: impl FnMut(&HandleEntry) -> bool) {
-        self.handles.retain(|_, e| !doomed(e));
+        let mut flushed = Vec::new();
+        self.handles.retain(|h, e| {
+            let d = doomed(e);
+            if d {
+                flushed.push((*h, e.flow));
+            }
+            !d
+        });
+        for (h, flow) in flushed {
+            self.unindex(h, &flow);
+        }
     }
 
     /// Drops every handle installed for `flow`, returning how many were
     /// removed. This is the cancellation path for abandoned opens: a
     /// client that gives up on its setup deadline must not leave
     /// partially-installed state pinning cache slots along the route.
+    ///
+    /// The flow index lists exactly the cached handles whose entry is for
+    /// `flow`, so taking its list removes the same handles a scan of the
+    /// whole table would, at the cost of the handles removed.
     pub fn purge_flow(&mut self, flow: &FlowSpec) -> usize {
-        let before = self.handles.len();
-        self.handles.retain(|_, e| e.flow != *flow);
-        before - self.handles.len()
+        let Some(handles) = self.by_flow.remove(flow) else {
+            return 0;
+        };
+        for h in &handles {
+            let e = self.handles.remove(h);
+            debug_assert!(e.is_some_and(|e| e.flow == *flow), "flow index out of sync");
+        }
+        handles.len()
+    }
+
+    /// Caches `entry` under `handle` and indexes it under its flow,
+    /// unindexing whatever the insert displaced: the handle's previous
+    /// entry on a re-install, and the LRU victim on eviction.
+    fn install(&mut self, handle: HandleId, entry: HandleEntry) {
+        if self.handles.capacity() == 0 {
+            return; // nothing is cached, so nothing is indexed
+        }
+        let flow = entry.flow;
+        let out = self.handles.insert(handle, entry);
+        if let Some(old) = out.replaced {
+            self.unindex(handle, &old.flow);
+        }
+        if let Some((victim, e)) = out.evicted {
+            self.unindex(victim, &e.flow);
+        }
+        self.by_flow.entry(flow).or_default().push(handle);
+    }
+
+    /// Drops `handle` from `flow`'s index list (and the list once empty).
+    fn unindex(&mut self, handle: HandleId, flow: &FlowSpec) {
+        if let Some(list) = self.by_flow.get_mut(flow) {
+            if let Some(i) = list.iter().position(|&h| h == handle) {
+                list.swap_remove(i);
+            }
+            if list.is_empty() {
+                self.by_flow.remove(flow);
+            }
+        }
     }
 }
 

@@ -8,6 +8,15 @@
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
 
+/// What [`LruCache::insert`] displaced.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Inserted<K, V> {
+    /// The value the inserted key held before, if it was already cached.
+    pub replaced: Option<V>,
+    /// The least recently used entry, evicted to make room.
+    pub evicted: Option<(K, V)>,
+}
+
 /// A bounded map with least-recently-used eviction.
 #[derive(Clone, Debug)]
 pub struct LruCache<K, V> {
@@ -91,26 +100,34 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     }
 
     /// Inserts `key -> value`, evicting the least recently used entry if
-    /// over capacity. Returns the evicted key, if any, so callers keeping
-    /// secondary indexes over the cached entries can stay exact.
-    pub fn insert(&mut self, key: K, value: V) -> Option<K> {
+    /// over capacity. Hands back the value `key` previously held and the
+    /// evicted entry, so callers keeping secondary indexes over the cached
+    /// entries can stay exact.
+    pub fn insert(&mut self, key: K, value: V) -> Inserted<K, V> {
+        let mut out = Inserted {
+            replaced: None,
+            evicted: None,
+        };
         if self.capacity == 0 {
-            return None;
+            return out;
         }
         self.stamp += 1;
-        if let Some((_, old)) = self.map.insert(key.clone(), (value, self.stamp)) {
+        if let Some((old_value, old)) = self.map.insert(key.clone(), (value, self.stamp)) {
             self.order.remove(&old);
+            out.replaced = Some(old_value);
         }
         self.order.insert(self.stamp, key);
-        let mut evicted = None;
-        while self.map.len() > self.capacity {
+        // One insert grows the map by at most one entry, so at most one
+        // entry is evicted, and never the one just inserted (it is the
+        // most recent).
+        if self.map.len() > self.capacity {
             let (&oldest, _) = self.order.iter().next().expect("non-empty over capacity");
             let victim = self.order.remove(&oldest).expect("key present");
-            self.map.remove(&victim);
+            let (v, _) = self.map.remove(&victim).expect("ordered key is mapped");
             self.evictions += 1;
-            evicted = Some(victim);
+            out.evicted = Some((victim, v));
         }
-        evicted
+        out
     }
 
     /// Removes a single entry.
@@ -242,19 +259,40 @@ mod tests {
         let before = c.stamp;
         assert!(!c.touch(&"zzz"));
         assert_eq!(c.stamp, before, "touch misses must not advance the clock");
-        assert_eq!(c.insert("c", 3), Some("b"), "touch must refresh recency");
+        assert_eq!(
+            c.insert("c", 3).evicted,
+            Some(("b", 2)),
+            "touch must refresh recency"
+        );
     }
 
     #[test]
-    fn insert_reports_evicted_key() {
+    fn insert_reports_evicted_and_replaced_values() {
         let mut c = LruCache::new(2);
-        assert_eq!(c.insert("a", 1), None);
-        assert_eq!(c.insert("b", 2), None);
+        let none = Inserted {
+            replaced: None,
+            evicted: None,
+        };
+        assert_eq!(c.insert("a", 1), none);
+        assert_eq!(c.insert("b", 2), none);
         let _ = c.get(&"a"); // b is now LRU
-        assert_eq!(c.insert("c", 3), Some("b"));
-        assert_eq!(c.insert("a", 9), None, "re-insert evicts nothing");
+        assert_eq!(
+            c.insert("c", 3),
+            Inserted {
+                replaced: None,
+                evicted: Some(("b", 2)),
+            }
+        );
+        assert_eq!(
+            c.insert("a", 9),
+            Inserted {
+                replaced: Some(1),
+                evicted: None,
+            },
+            "re-insert evicts nothing and hands back the old value"
+        );
         let mut zero = LruCache::new(0);
-        assert_eq!(zero.insert("x", 1), None);
+        assert_eq!(zero.insert("x", 1), none);
     }
 
     #[test]

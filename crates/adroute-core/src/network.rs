@@ -157,6 +157,10 @@ pub struct OrwgNetwork {
     gateways: Vec<PolicyGateway>,
     next_handle: u64,
     open_flows: HashMap<HandleId, OpenFlow>,
+    /// How many `open_flows` entries carry each flow spec (no zero
+    /// counts): [`OrwgNetwork::abandon_open`]'s "is this spec still open?"
+    /// check without a scan.
+    live_opens: HashMap<FlowSpec, usize>,
     /// Flows whose installed route died (link failure, policy change, or
     /// gateway crash tore the handle down and notified the source); they
     /// wait here until [`OrwgNetwork::repair_pending`], each carrying the
@@ -247,6 +251,7 @@ impl OrwgNetwork {
             gateways,
             next_handle: 1,
             open_flows: HashMap::new(),
+            live_opens: HashMap::new(),
             pending_repair: Vec::new(),
             repair_stats: RepairStats::default(),
             setup_loss: None,
@@ -296,6 +301,7 @@ impl OrwgNetwork {
             gateways,
             next_handle: 1,
             open_flows: HashMap::new(),
+            live_opens: HashMap::new(),
             pending_repair: Vec::new(),
             repair_stats: RepairStats::default(),
             setup_loss: None,
@@ -477,6 +483,7 @@ impl OrwgNetwork {
         }
         let hops = setup.route.len() - 1;
         let header_bytes = setup.header_size() * hops;
+        *self.live_opens.entry(*flow).or_default() += 1;
         self.open_flows.insert(
             handle,
             OpenFlow {
@@ -713,6 +720,7 @@ impl OrwgNetwork {
     /// Tears down an open flow at the source and every gateway.
     pub fn teardown(&mut self, handle: HandleId) {
         if let Some(of) = self.open_flows.remove(&handle) {
+            self.forget_open(&of.flow);
             for ad in &of.route[1..of.route.len().saturating_sub(1)] {
                 self.gateways[ad.index()].teardown(handle);
             }
@@ -734,10 +742,21 @@ impl OrwgNetwork {
         dead.sort();
         for h in dead {
             if let Some(of) = self.open_flows.remove(&h) {
+                self.forget_open(&of.flow);
                 // The fault's own record does not exist yet (it is
                 // emitted after the teardowns it implies); the caller
                 // backfills via `set_pending_cause_from`.
                 self.pending_repair.push((of, None));
+            }
+        }
+    }
+
+    /// Drops one open flow of spec `flow` from the live-open counts.
+    fn forget_open(&mut self, flow: &FlowSpec) {
+        if let Some(n) = self.live_opens.get_mut(flow) {
+            *n -= 1;
+            if *n == 0 {
+                self.live_opens.remove(flow);
             }
         }
     }
@@ -1460,7 +1479,7 @@ impl OrwgNetwork {
                 attempts,
             },
         );
-        if self.open_flows.values().any(|of| of.flow == *flow) {
+        if self.live_opens.contains_key(flow) {
             return 0;
         }
         let mut purged = 0;
@@ -2055,17 +2074,111 @@ mod tests {
 
     #[test]
     fn abandon_purges_partial_state_but_spares_live_flows() {
-        let mut net = permissive(6);
-        let flow = FlowSpec::best_effort(AdId(0), AdId(3));
-        let s = net.open(&flow).unwrap();
-        // Another client with the same flow spec abandons: the live
-        // flow's handles must survive.
+        let mut net = permissive(8);
+        let flow = FlowSpec::best_effort(AdId(0), AdId(4));
+        let first = net.open(&flow).unwrap();
+        let transit: Vec<AdId> = first.route[1..first.route.len() - 1].to_vec();
+        assert_eq!(transit.len(), 3);
+        // Fail the route's last link: only the gateway beside it flushes;
+        // the other two transit gateways keep straggler handles while the
+        // flow waits for repair.
+        let (near, dst) = (transit[2], first.route[4]);
+        net.fail_link(net.topo().link_between(near, dst).unwrap());
+        assert_eq!(net.pending_repair_count(), 1);
+        assert_eq!(net.open_flow_count(), 0);
+        let stragglers = &transit[..2];
+        for &ad in stragglers {
+            assert_eq!(net.gateway(ad).cached_handles(), 1, "straggler at {ad}");
+        }
+        assert_eq!(net.gateway(near).cached_handles(), 0);
+        // A second client with the same flow spec opens the long way
+        // around. While it is live, an abandon must purge nothing.
+        let second = net.open(&flow).unwrap();
+        assert!(second.route.iter().all(|ad| !transit.contains(ad)));
         assert_eq!(net.abandon_open(&flow, 3, SimTime::ZERO, None), 0);
-        assert!(net.send(s.handle).is_ok());
-        // After teardown nothing is live; purge clears stragglers.
-        net.teardown(s.handle);
+        assert!(net.send(second.handle).is_ok());
+        for &ad in stragglers {
+            assert_eq!(net.gateway(ad).cached_handles(), 1);
+        }
+        // Once nothing is live, the abandon purges exactly the stragglers.
+        net.teardown(second.handle);
+        assert_eq!(net.abandon_open(&flow, 3, SimTime::ZERO, None), 2);
+        for &ad in stragglers {
+            assert_eq!(net.gateway(ad).cached_handles(), 0, "purged at {ad}");
+        }
         assert_eq!(net.abandon_open(&flow, 3, SimTime::ZERO, None), 0);
-        assert_eq!(net.obs.metrics.counter("opens_abandoned"), 2);
+        assert_eq!(net.obs.metrics.counter("opens_abandoned"), 3);
+    }
+
+    /// Scans `open_flows` for what `live_opens` should hold.
+    fn scanned_live_opens(net: &OrwgNetwork) -> HashMap<FlowSpec, usize> {
+        let mut counts = HashMap::new();
+        for of in net.open_flows.values() {
+            *counts.entry(of.flow).or_default() += 1;
+        }
+        counts
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The live-open counts agree with a scan of `open_flows` after
+        /// every open, teardown, link failure, quarantine, gateway crash
+        /// and repair; and an abandon purges exactly what a scan of every
+        /// gateway's table finds for a spec nobody holds open.
+        #[test]
+        fn live_open_counts_match_a_scan(ops in proptest::collection::vec(0u32..1_000_000, 1..80)) {
+            let mut net = permissive(8);
+            let links = net.topo().num_links() as u32;
+            for op in ops {
+                let (kind, a, b) = (op % 9, (op / 9) % 8, (op / 72) % 8);
+                // Few specs, so opens, stragglers and abandons collide.
+                let flow = FlowSpec::best_effort(AdId(a % 4), AdId(4 + b % 4));
+                match kind {
+                    0 | 1 => {
+                        let _ = net.open(&flow);
+                    }
+                    2 => {
+                        let mut open: Vec<HandleId> = net.open_flows.keys().copied().collect();
+                        open.sort();
+                        if !open.is_empty() {
+                            net.teardown(open[(b as usize) % open.len()]);
+                        }
+                    }
+                    3 => net.fail_link(LinkId(a % links)),
+                    4 => net.restore_link(LinkId(a % links)),
+                    5 => {
+                        net.quarantine_ad(AdId(a), None);
+                    }
+                    6 => net.lift_quarantine(AdId(a)),
+                    7 => {
+                        if net.gateway(AdId(a)).is_up() {
+                            net.crash_gateway(AdId(a));
+                        } else {
+                            net.restore_gateway(AdId(a));
+                        }
+                    }
+                    _ => {
+                        let live = net.open_flows.values().any(|of| of.flow == flow);
+                        let stragglers: usize = (0..8)
+                            .map(|g| {
+                                net.gateway(AdId(g))
+                                    .handles_by_recency()
+                                    .filter(|(_, e)| e.flow == flow)
+                                    .count()
+                            })
+                            .sum();
+                        let want = if live { 0 } else { stragglers };
+                        proptest::prop_assert_eq!(
+                            net.abandon_open(&flow, 1, SimTime::ZERO, None),
+                            want
+                        );
+                        net.repair_pending(2);
+                    }
+                }
+                proptest::prop_assert_eq!(&net.live_opens, &scanned_live_opens(&net));
+            }
+        }
     }
 
     #[test]

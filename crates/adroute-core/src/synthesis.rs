@@ -563,7 +563,7 @@ impl RouteServer {
                 None => self.index.unindex(flow),
             }
         }
-        if let Some(evicted) = self.cache.insert(*flow, r.clone()) {
+        if let Some((evicted, _)) = self.cache.insert(*flow, r.clone()).evicted {
             self.index.unindex(&evicted);
             self.hot_clear(&evicted);
         }
@@ -674,7 +674,7 @@ impl RouteServer {
                     None => self.index.unindex(&flow),
                 }
             }
-            if let Some(evicted) = self.cache.insert(flow, r.clone()) {
+            if let Some((evicted, _)) = self.cache.insert(flow, r.clone()).evicted {
                 self.index.unindex(&evicted);
                 self.hot_clear(&evicted);
             }
@@ -758,7 +758,7 @@ impl RouteServer {
             };
             self.index.index(*flow, &refreshed.path);
             self.hot_refresh(flow, &refreshed);
-            if let Some(evicted) = self.cache.insert(*flow, Some(refreshed)) {
+            if let Some((evicted, _)) = self.cache.insert(*flow, Some(refreshed)).evicted {
                 self.index.unindex(&evicted);
                 self.hot_clear(&evicted);
             }

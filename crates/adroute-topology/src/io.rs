@@ -80,7 +80,8 @@ fn perr<T>(line: usize, message: impl Into<String>) -> Result<T, TopologyParseEr
 pub fn parse(text: &str) -> Result<Topology, TopologyParseError> {
     let mut ads: Vec<Ad> = Vec::new();
     let mut edges: Vec<(AdId, AdId, u32)> = Vec::new();
-    let mut extras: Vec<(u64, bool)> = Vec::new(); // (delay, up) per edge
+    let mut extras: Vec<(u64, bool, usize)> = Vec::new(); // (delay, up, line) per edge
+    let mut seen = std::collections::HashSet::new();
 
     for (i, raw) in text.lines().enumerate() {
         let lineno = i + 1;
@@ -127,23 +128,33 @@ pub fn parse(text: &str) -> Result<Topology, TopologyParseError> {
                 if toks.len() != 7 || toks[2] != "metric" || toks[4] != "delay" {
                     return perr(lineno, "expected 'link A B metric M delay D up|down'");
                 }
-                let num = |s: &str, what: &str| -> Result<u64, TopologyParseError> {
-                    s.parse::<u64>().map_err(|_| TopologyParseError {
+                fn num<T: std::str::FromStr>(
+                    lineno: usize,
+                    s: &str,
+                    what: &str,
+                ) -> Result<T, TopologyParseError> {
+                    s.parse::<T>().map_err(|_| TopologyParseError {
                         line: lineno,
                         message: format!("expected {what}, found '{s}'"),
                     })
-                };
-                let a = num(toks[0], "endpoint a")? as u32;
-                let b = num(toks[1], "endpoint b")? as u32;
-                let metric = num(toks[3], "metric value")? as u32;
-                let delay = num(toks[5], "delay value")?;
+                }
+                let a: u32 = num(lineno, toks[0], "endpoint a (a u32 AD id)")?;
+                let b: u32 = num(lineno, toks[1], "endpoint b (a u32 AD id)")?;
+                let metric: u32 = num(lineno, toks[3], "metric value (a u32)")?;
+                let delay: u64 = num(lineno, toks[5], "delay value")?;
+                if a == b {
+                    return perr(lineno, format!("self-loop link {a}-{b}"));
+                }
+                if !seen.insert((a.min(b), a.max(b))) {
+                    return perr(lineno, format!("duplicate link {a}-{b}"));
+                }
                 let up = match toks[6] {
                     "up" => true,
                     "down" => false,
                     other => return perr(lineno, format!("expected up/down, got '{other}'")),
                 };
                 edges.push((AdId(a), AdId(b), metric));
-                extras.push((delay, up));
+                extras.push((delay, up, lineno));
             }
             other => return perr(lineno, format!("unknown record {other:?}")),
         }
@@ -152,16 +163,16 @@ pub fn parse(text: &str) -> Result<Topology, TopologyParseError> {
     if ads.is_empty() {
         return perr(0, "no ADs defined");
     }
-    for &(a, b, _) in &edges {
+    for (&(a, b, _), &(_, _, lineno)) in edges.iter().zip(&extras) {
         if a.index() >= ads.len() || b.index() >= ads.len() {
-            return perr(0, format!("link {a}-{b} references undefined AD"));
+            return perr(lineno, format!("link {a}-{b} references undefined AD"));
         }
     }
     // Preserve the declared roles: Topology::new derives nothing, but we
     // must not run reclassify_roles (the dump is authoritative).
     let declared: Vec<(AdLevel, AdRole)> = ads.iter().map(|a| (a.level, a.role)).collect();
     let mut topo = Topology::new(ads, &edges);
-    for (i, (delay, up)) in extras.into_iter().enumerate() {
+    for (i, (delay, up, _)) in extras.into_iter().enumerate() {
         let id = crate::ids::LinkId(i as u32);
         topo.set_delay(id, delay);
         if !up {
@@ -246,6 +257,42 @@ mod tests {
         assert!(e.message.contains("no ADs"), "{e}");
         let e = parse("ad 0 campus stub\nlink 0 9 metric 1 delay 1 up").unwrap_err();
         assert!(e.message.contains("undefined AD"), "{e}");
+    }
+
+    const TWO_ADS: &str = "ad 0 campus stub\nad 1 campus stub\n";
+
+    #[test]
+    fn self_loop_is_an_error_not_a_panic() {
+        let e = parse(&format!("{TWO_ADS}link 0 0 metric 1 delay 1 up")).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.message.contains("self-loop"), "{e}");
+    }
+
+    #[test]
+    fn duplicate_link_is_an_error_not_a_panic() {
+        let text = format!("{TWO_ADS}link 0 1 metric 1 delay 1 up\nlink 1 0 metric 2 delay 1 up");
+        let e = parse(&text).unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.message.contains("duplicate link 1-0"), "{e}");
+    }
+
+    #[test]
+    fn undefined_ad_reports_the_link_line() {
+        let text =
+            format!("{TWO_ADS}link 0 1 metric 1 delay 1 up\n# gap\nlink 1 9 metric 1 delay 1 up");
+        let e = parse(&text).unwrap_err();
+        assert_eq!(e.line, 5, "{e}");
+        assert!(e.message.contains("undefined AD"), "{e}");
+    }
+
+    #[test]
+    fn out_of_range_ids_do_not_wrap() {
+        let e = parse(&format!("{TWO_ADS}link 4294967296 1 metric 1 delay 1 up")).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.message.contains("endpoint a"), "{e}");
+        let e = parse(&format!("{TWO_ADS}link 0 1 metric 4294967297 delay 1 up")).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.message.contains("metric value"), "{e}");
     }
 
     proptest::proptest! {
