@@ -280,10 +280,7 @@ impl OrwgNetwork {
         let db = engine.protocol().policies.clone();
         let servers = topo
             .ad_ids()
-            .map(|ad| {
-                let (vt, vd) = engine.router(ad).flooder.db.view();
-                RouteServer::new(ad, vt, vd, strategy.clone())
-            })
+            .map(|ad| RouteServer::from_lsdb(ad, &engine.router(ad).flooder.db, strategy.clone()))
             .collect();
         let gateways = topo
             .ad_ids()
@@ -1604,64 +1601,13 @@ impl OrwgNetwork {
         }
     }
 
-    /// Computes the incremental deltas taking view `(old_t, old_d)` to
-    /// view `(new_t, new_d)`. Returns `None` when the change is structural
-    /// (an AD or link the old view never knew) and only a full install can
-    /// absorb it. A link absent from the new view (flooding dropped the
-    /// adjacency) maps to a link-down delta on the old structure — the
-    /// synthesis search only walks *up* links, so a down-link-present view
-    /// and a link-absent view are search-equivalent.
-    fn diff_views(
-        old_t: &Topology,
-        old_d: &PolicyDb,
-        new_t: &Topology,
-        new_d: &PolicyDb,
-    ) -> Option<Vec<ViewDelta>> {
-        if new_t.num_ads() != old_t.num_ads() {
-            return None;
-        }
-        let mut deltas = Vec::new();
-        for l in new_t.links() {
-            let old_id = old_t.link_between(l.a, l.b)?;
-            let old = old_t.link(old_id);
-            if old.up != l.up {
-                deltas.push(ViewDelta::Topo(TopoDelta::LinkState {
-                    a: l.a,
-                    b: l.b,
-                    up: l.up,
-                }));
-            }
-            if old.metric != l.metric {
-                deltas.push(ViewDelta::Topo(TopoDelta::Metric {
-                    a: l.a,
-                    b: l.b,
-                    metric: l.metric,
-                }));
-            }
-        }
-        for l in old_t.links() {
-            if l.up && new_t.link_between(l.a, l.b).is_none() {
-                deltas.push(ViewDelta::Topo(TopoDelta::LinkState {
-                    a: l.a,
-                    b: l.b,
-                    up: false,
-                }));
-            }
-        }
-        for ad in new_t.ad_ids() {
-            if new_d.policy(ad) != old_d.policy(ad) {
-                deltas.push(ViewDelta::Policy(new_d.policy(ad).clone()));
-            }
-        }
-        Some(deltas)
-    }
-
     /// Re-syncs the data plane with a (re-)quiesced control plane: ground
     /// truth adopts the engine's topology and policies, flows crossing
     /// newly-dead links are torn down and queued for repair, and every
     /// Route Server absorbs **its own flooded database**'s fresh view —
-    /// incrementally (diffed against its current view) or by full install,
-    /// per the view-maintenance mode.
+    /// incrementally ([`RouteServer::sync_from`]: only origins whose LSA
+    /// changed since the server's last sync are diffed) or by full
+    /// install, per the view-maintenance mode.
     ///
     /// This is the quiescence hook the fault-recovery sweeps and the
     /// `chaos` pipeline call after the LS flooder settles.
@@ -1691,25 +1637,17 @@ impl OrwgNetwork {
         self.db = engine.protocol().policies.clone();
         let mut fallbacks = 0u64;
         for ad in self.topo.ad_ids() {
-            let (vt, vd) = engine.router(ad).flooder.db.view();
+            let db = &engine.router(ad).flooder.db;
             let s = &mut self.servers[ad.index()];
-            if self.view_maintenance == ViewMaintenance::Flush {
-                s.update_view(vt, vd);
-                fallbacks += 1;
-                continue;
-            }
-            match Self::diff_views(s.view_topo(), s.view_db(), &vt, &vd) {
-                Some(deltas) => {
-                    if !deltas.iter().all(|d| s.apply_delta(d)) {
-                        s.update_view(vt, vd);
-                        fallbacks += 1;
-                    }
-                }
-                None => {
+            let full = match self.view_maintenance {
+                ViewMaintenance::Flush => {
+                    let (vt, vd) = db.view();
                     s.update_view(vt, vd);
-                    fallbacks += 1;
+                    true
                 }
-            }
+                ViewMaintenance::Incremental => s.sync_from(db),
+            };
+            fallbacks += u64::from(full);
         }
         self.obs.metrics.add("view_full_installs", fallbacks);
         let delta_id = self.emit(

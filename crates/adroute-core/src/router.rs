@@ -133,6 +133,27 @@ mod tests {
     }
 
     #[test]
+    fn flooded_lsas_are_shared_not_copied() {
+        let topo = HierarchyConfig::figure1().generate();
+        let db = adroute_policy::workload::PolicyWorkload::default_mix(2).generate(&topo);
+        let e = converge_control_plane(topo, db);
+        for origin in e.topo().ad_ids() {
+            let own = e.router(origin).flooder.db.get(origin).unwrap();
+            for ad in e.topo().ad_ids() {
+                let held = e.router(ad).flooder.db.get(origin).unwrap();
+                assert!(
+                    std::sync::Arc::ptr_eq(held, own),
+                    "{ad} holds a private copy of {origin}'s LSA"
+                );
+            }
+        }
+        // Byte accounting still charges every hop the LSA's encoded size:
+        // the totals are those of the copying flooder.
+        assert_eq!(e.stats.msgs_sent, 1710);
+        assert_eq!(e.stats.bytes_sent, 204_288);
+    }
+
+    #[test]
     fn reorigination_after_failure_updates_views() {
         let topo = ring(5);
         let db = PolicyDb::permissive(&topo);

@@ -14,13 +14,15 @@
 //! of topology and policy, not ground truth.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::sync::Arc;
 
 use adroute_policy::{
     legality::{self, SearchStats},
     AdSetPool, FlowSpec, PolicyDb, PtId, QosClass, RouteSelection, TimeOfDay, TransitPolicy,
     UserClass,
 };
-use adroute_topology::{AdId, RegionMap, TopoDelta, Topology};
+use adroute_protocols::linkstate::{LsDb, Lsa};
+use adroute_topology::{AdId, Link, LinkId, RegionMap, TopoDelta, Topology};
 
 use crate::lru::LruCache;
 
@@ -138,7 +140,7 @@ const REFILL_QUEUE_CAP: usize = 1024;
 /// One incremental change to a Route Server's view of the internet,
 /// flooded to it by the link-state machinery (paper Section 5.4.1's
 /// "advertised policy and topology information").
-#[derive(Clone, Debug)]
+#[derive(Clone, PartialEq, Debug)]
 pub enum ViewDelta {
     /// An endpoint-addressed topology change (link state or metric).
     Topo(TopoDelta),
@@ -262,6 +264,10 @@ pub struct RouteServer {
     /// selection by one transit AD per probe, and the pool memoizes those
     /// compositions across flows.
     avoid_pool: AdSetPool,
+    /// The LSA per origin this view was last synced from
+    /// ([`RouteServer::sync_from`]). Empty after any view change that did
+    /// not come from a sync, which means "every origin may differ".
+    synced: Vec<Option<Arc<Lsa>>>,
     /// Work counters.
     pub stats: SynthStats,
     /// Fast-path (batch/hot-tier/refill) work counters.
@@ -296,9 +302,22 @@ impl RouteServer {
             index: DepIndex::default(),
             pending_refill: VecDeque::new(),
             avoid_pool: AdSetPool::new(),
+            synced: Vec::new(),
             stats: SynthStats::default(),
             sweep: SweepStats::default(),
         }
+    }
+
+    /// A server whose view is the one `db` describes ([`LsDb::view`]),
+    /// synced from `db`'s LSAs: the next [`RouteServer::sync_from`] only
+    /// examines origins whose LSA has changed since.
+    pub fn from_lsdb(ad: AdId, db: &LsDb, strategy: Strategy) -> RouteServer {
+        let (view_topo, view_db) = db.view();
+        let mut s = RouteServer::new(ad, view_topo, view_db, strategy);
+        s.synced = (0..db.num_ads())
+            .map(|i| db.get(AdId(i as u32)).cloned())
+            .collect();
+        s
     }
 
     /// The server's current view of the topology.
@@ -359,15 +378,26 @@ impl RouteServer {
         self.run_precompute();
     }
 
-    /// Drops every cache entry, keeping the dependency index consistent.
-    /// Precomputed entries (and their index registrations) are untouched.
+    /// Drops every cache entry, keeping the dependency index and the hot
+    /// tier consistent. Every hot handle shadows an LRU entry, so clearing
+    /// the flushed keys' slots empties the tier. Precomputed entries (and
+    /// their index registrations) are untouched.
     fn flush_cache(&mut self) {
         let keys: Vec<FlowSpec> = self.cache.iter().map(|(k, _)| *k).collect();
         for k in &keys {
             self.index.unindex(k);
+            self.hot_clear(k);
         }
         self.cache.clear();
-        self.hot.iter_mut().for_each(|s| *s = None);
+    }
+
+    /// Whether every hot handle is shadowed by an LRU entry holding the
+    /// same route: the hot tier's coherence invariant.
+    pub fn hot_tier_is_coherent(&self) -> bool {
+        self.hot
+            .iter()
+            .flatten()
+            .all(|(f, r)| self.cache.peek(f) == Some(r))
     }
 
     /// The hot-tier slot a flow's destination maps to.
@@ -833,11 +863,162 @@ impl RouteServer {
     /// cache and re-runs precomputation (the staleness cost E7 reports).
     ///
     /// This is the flush-everything fallback; [`RouteServer::apply_delta`]
-    /// is the incremental path.
+    /// is the incremental path. The view no longer derives from the LSAs
+    /// it was last synced from, so the next [`RouteServer::sync_from`]
+    /// examines every origin.
     pub fn update_view(&mut self, view_topo: Topology, view_db: PolicyDb) {
+        self.synced.clear();
+        self.install(view_topo, view_db);
+    }
+
+    fn install(&mut self, view_topo: Topology, view_db: PolicyDb) {
         self.view_topo = view_topo;
         self.view_db = view_db;
         self.invalidate_all();
+    }
+
+    /// The deltas that take this view to the one `db` describes
+    /// ([`LsDb::view`]), in that view's diff order: new-view links in
+    /// (lower endpoint, LSA position) order, then up links the new view
+    /// lacks in link-id order, then policies in AD order. `None` when the
+    /// view's structure lacks a link `db` confirms, so that only a full
+    /// install can absorb it.
+    ///
+    /// Only origins whose LSA changed since the last sync are examined:
+    /// a link between two unchanged origins and an unchanged origin's
+    /// policy are exactly as that sync left them.
+    pub fn sync_deltas(&self, db: &LsDb) -> Option<Vec<ViewDelta>> {
+        let changed = self.changed_origins(db);
+        self.deltas_for(db, &changed)
+    }
+
+    /// Origins whose LSA in `db` is not the one this view was last synced
+    /// from: every origin, after an out-of-band view change.
+    fn changed_origins(&self, db: &LsDb) -> Vec<AdId> {
+        self.view_topo
+            .ad_ids()
+            .filter(|&o| match (self.synced.get(o.index()), db.get(o)) {
+                (None, _) => true,
+                (Some(Some(old)), Some(new)) => !Arc::ptr_eq(old, new),
+                (Some(old), new) => old.is_some() != new.is_some(),
+            })
+            .collect()
+    }
+
+    fn deltas_for(&self, db: &LsDb, changed: &[AdId]) -> Option<Vec<ViewDelta>> {
+        if db.num_ads() != self.view_topo.num_ads() {
+            return None;
+        }
+        // Adjacencies whose view state may have moved: entries a changed
+        // origin's LSA adds, drops or re-metrics relative to its synced
+        // LSA. With no snapshot, every entry and every link of the view's
+        // structure at the origin.
+        let mut pairs: Vec<(AdId, AdId)> = Vec::new();
+        for &o in changed {
+            let new = db.get(o).map_or(&[][..], |l| &l.links[..]);
+            match self.synced.get(o.index()) {
+                Some(old) => {
+                    let old = old.as_ref().map_or(&[][..], |l| &l.links[..]);
+                    moved_entries(old, new, |nbr| pairs.push((o, nbr)));
+                }
+                None => {
+                    pairs.extend(new.iter().map(|&(nbr, _, _)| (o, nbr)));
+                    pairs.extend(self.view_topo.all_neighbors(o).map(|(nbr, _)| (o, nbr)));
+                }
+            }
+        }
+        // Confirmed links whose state in this view differs, keyed by
+        // (lower endpoint, position in its LSA): `LsDb::view`'s link
+        // order, with the metric from the lower endpoint's LSA. Up links
+        // the new view lacks map to link-down deltas on the old structure
+        // (the search only walks up links), in link-id order.
+        let mut fresh: Vec<(AdId, usize, AdId, u32, &Link)> = Vec::new();
+        let mut gone: Vec<LinkId> = Vec::new();
+        for (o, nbr) in pairs {
+            let (a, b) = if o < nbr { (o, nbr) } else { (nbr, o) };
+            let confirmed = match (db.get(a), db.get(b)) {
+                (Some(la), Some(lb)) if lb.entry(a).is_some() => {
+                    la.entry(b).map(|pos| (pos, la.links[pos].1))
+                }
+                _ => None,
+            };
+            match confirmed {
+                Some((pos, metric)) => {
+                    let old = self.view_topo.link(self.view_topo.link_between(a, b)?);
+                    if !old.up || old.metric != metric {
+                        fresh.push((a, pos, b, metric, old));
+                    }
+                }
+                None => {
+                    if let Some(l) = self.view_topo.link_between(a, b) {
+                        if self.view_topo.link(l).up {
+                            gone.push(l);
+                        }
+                    }
+                }
+            }
+        }
+        fresh.sort_unstable_by_key(|&(a, pos, ..)| (a, pos));
+        fresh.dedup_by_key(|&mut (a, pos, ..)| (a, pos));
+        gone.sort_unstable();
+        gone.dedup();
+        let mut deltas = Vec::new();
+        for (a, _, b, metric, old) in fresh {
+            if !old.up {
+                deltas.push(ViewDelta::Topo(TopoDelta::LinkState { a, b, up: true }));
+            }
+            if old.metric != metric {
+                deltas.push(ViewDelta::Topo(TopoDelta::Metric { a, b, metric }));
+            }
+        }
+        for l in gone {
+            let l = self.view_topo.link(l);
+            deltas.push(ViewDelta::Topo(TopoDelta::LinkState {
+                a: l.a,
+                b: l.b,
+                up: false,
+            }));
+        }
+        // An AD with no LSA yet is deny-all, as in `LsDb::view`.
+        for &o in changed {
+            let old = self.view_db.policy(o);
+            match db.get(o) {
+                Some(lsa) if lsa.policy != *old => {
+                    deltas.push(ViewDelta::Policy(lsa.policy.clone()))
+                }
+                Some(_) => {}
+                None => {
+                    let deny = TransitPolicy::deny_all(o);
+                    if deny != *old {
+                        deltas.push(ViewDelta::Policy(deny));
+                    }
+                }
+            }
+        }
+        Some(deltas)
+    }
+
+    /// Re-syncs this view with the flooded database `db`: applies
+    /// [`RouteServer::sync_deltas`] in place, or installs `db`'s full view
+    /// when the structure cannot absorb them. Returns `true` for a full
+    /// install.
+    pub fn sync_from(&mut self, db: &LsDb) -> bool {
+        let changed = self.changed_origins(db);
+        let full = match self.deltas_for(db, &changed) {
+            Some(deltas) if deltas.iter().all(|d| self.absorb(d)) => false,
+            _ => {
+                let (view_topo, view_db) = db.view();
+                self.install(view_topo, view_db);
+                true
+            }
+        };
+        if self.synced.len() != self.view_topo.num_ads() {
+            self.synced = vec![None; self.view_topo.num_ads()];
+        }
+        for o in changed {
+            self.synced[o.index()] = db.get(o).cloned();
+        }
+        full
     }
 
     /// Applies one incremental change to the view, invalidating only the
@@ -857,7 +1038,15 @@ impl RouteServer {
     /// Returns `false` — leaving the server untouched — when the delta
     /// cannot be applied to this view (the view's structure predates the
     /// link); the caller must fall back to [`RouteServer::update_view`].
+    ///
+    /// Like `update_view`, an applied delta detaches the view from the
+    /// LSAs it was last synced from.
     pub fn apply_delta(&mut self, delta: &ViewDelta) -> bool {
+        self.synced.clear();
+        self.absorb(delta)
+    }
+
+    fn absorb(&mut self, delta: &ViewDelta) -> bool {
         match delta {
             ViewDelta::Topo(td) => {
                 let Some(restrictive) = td.is_restrictive_on(&self.view_topo) else {
@@ -949,6 +1138,33 @@ impl RouteServer {
         }
         self.flush_cache();
         self.run_precompute();
+    }
+}
+
+/// Calls `moved` with every neighbor whose entry differs between two
+/// LSA adjacency lists (present in one only, or at another metric). Both
+/// lists are sorted by neighbor ([`Lsa::links`]), so one merge suffices.
+fn moved_entries(old: &[(AdId, u32, u64)], new: &[(AdId, u32, u64)], mut moved: impl FnMut(AdId)) {
+    let (mut i, mut j) = (0, 0);
+    while i < old.len() || j < new.len() {
+        match (old.get(i), new.get(j)) {
+            (Some(x), Some(y)) if x.0 == y.0 => {
+                if x.1 != y.1 {
+                    moved(y.0);
+                }
+                i += 1;
+                j += 1;
+            }
+            (Some(x), y) if y.is_none_or(|y| x.0 < y.0) => {
+                moved(x.0);
+                i += 1;
+            }
+            (_, Some(y)) => {
+                moved(y.0);
+                j += 1;
+            }
+            (_, None) => unreachable!("loop condition"),
+        }
     }
 }
 
@@ -1049,6 +1265,29 @@ mod tests {
         assert_eq!(alts.len(), 2);
         assert_ne!(alts[0].path, alts[1].path);
         assert!(alts[0].cost <= alts[1].cost);
+    }
+
+    #[test]
+    fn flush_leaves_no_hot_handle() {
+        let mut rs = server(Strategy::Cached { capacity: 16 });
+        let hot_handles = |rs: &RouteServer| rs.hot.iter().flatten().count();
+        let warm = |rs: &mut RouteServer| {
+            for d in 1..6 {
+                let _ = rs.request(&FlowSpec::best_effort(AdId(0), AdId(d)));
+            }
+            assert!(hot_handles(rs) > 0);
+            assert!(rs.hot_tier_is_coherent());
+        };
+        warm(&mut rs);
+        let (topo, db) = (rs.view_topo().clone(), rs.view_db().clone());
+        rs.update_view(topo, db);
+        assert_eq!(hot_handles(&rs), 0, "view install left hot handles");
+        warm(&mut rs);
+        rs.set_selection(RouteSelection::unconstrained());
+        assert_eq!(hot_handles(&rs), 0, "selection change left hot handles");
+        warm(&mut rs);
+        rs.crash_soft_state();
+        assert_eq!(hot_handles(&rs), 0, "crash left hot handles");
     }
 
     #[test]

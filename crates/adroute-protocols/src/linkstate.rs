@@ -9,6 +9,13 @@
 //! level. Flooding these gives every AD the complete topology *and* policy
 //! view from which routes satisfying any set of policy constraints can be
 //! computed.
+//!
+//! An LSA is immutable once originated, so flooding shares it: a message,
+//! every database slot that stores it, and every Route Server snapshot
+//! synced from it hold the same [`Arc`], so the databases of N ADs hold
+//! one copy of each origin's policy, not N.
+
+use std::sync::Arc;
 
 use adroute_policy::{PolicyDb, TransitPolicy};
 use adroute_sim::{Ctx, EventRecord};
@@ -24,13 +31,19 @@ pub struct Lsa {
     /// Hierarchy level of the origin (lets receivers reconstruct the
     /// Figure-1 structure for link classification).
     pub level: AdLevel,
-    /// Operational adjacencies: `(neighbor, metric, delay_us)`.
+    /// Operational adjacencies: `(neighbor, metric, delay_us)`, sorted by
+    /// neighbor (origination lists the adjacency in neighbor order).
     pub links: Vec<(AdId, u32, u64)>,
     /// The origin's advertised transit policy (its PTs).
     pub policy: TransitPolicy,
 }
 
 impl Lsa {
+    /// The position of `nbr` in [`Lsa::links`], if the origin lists it.
+    pub fn entry(&self, nbr: AdId) -> Option<usize> {
+        self.links.binary_search_by_key(&nbr, |l| l.0).ok()
+    }
+
     /// Approximate encoded size in bytes.
     pub fn encoded_size(&self) -> usize {
         4 + 8 + 1 + 16 * self.links.len() + self.policy.encoded_size()
@@ -41,7 +54,7 @@ impl Lsa {
 /// counter consumers use to invalidate derived caches.
 #[derive(Clone, Debug)]
 pub struct LsDb {
-    lsas: Vec<Option<Lsa>>,
+    lsas: Vec<Option<Arc<Lsa>>>,
     version: u64,
 }
 
@@ -56,7 +69,11 @@ impl LsDb {
 
     /// Inserts `lsa` if it is newer than the stored one. Returns `true`
     /// if the database changed.
-    pub fn insert(&mut self, lsa: Lsa) -> bool {
+    pub fn insert(&mut self, lsa: Arc<Lsa>) -> bool {
+        debug_assert!(
+            lsa.links.windows(2).all(|w| w[0].0 < w[1].0),
+            "LSA adjacencies must be sorted by neighbor"
+        );
         let slot = &mut self.lsas[lsa.origin.index()];
         let newer = slot.as_ref().is_none_or(|cur| lsa.seq > cur.seq);
         if newer {
@@ -67,7 +84,7 @@ impl LsDb {
     }
 
     /// The stored LSA of `origin`, if any.
-    pub fn get(&self, origin: AdId) -> Option<&Lsa> {
+    pub fn get(&self, origin: AdId) -> Option<&Arc<Lsa>> {
         self.lsas[origin.index()].as_ref()
     }
 
@@ -94,7 +111,7 @@ impl LsDb {
     /// Total encoded size of the database (the state cost of the
     /// link-state approach).
     pub fn encoded_size(&self) -> usize {
-        self.lsas.iter().flatten().map(Lsa::encoded_size).sum()
+        self.lsas.iter().flatten().map(|l| l.encoded_size()).sum()
     }
 
     /// Reconstructs the AD-level view this database describes: a
@@ -103,10 +120,12 @@ impl LsDb {
     /// (ADs with no LSA yet default to deny-all — an unknown AD cannot
     /// be used for transit).
     ///
-    /// This is the quiescence hook Route Servers consume: the ORWG
-    /// network diffs each server's current view against this fresh one
-    /// and applies the difference as incremental deltas rather than
-    /// reinstalling (and re-precomputing) from scratch.
+    /// This materializes the whole internet, so Route Servers call it only
+    /// for a full install (building a network from an engine, a flush-mode
+    /// refresh, or a view whose structure lacks a newly confirmed link).
+    /// Ordinary refreshes re-sync a server from the LSAs themselves, one
+    /// changed origin at a time (`RouteServer::sync_from` in
+    /// `adroute-core`), and reach the same view.
     pub fn view(&self) -> (Topology, PolicyDb) {
         let n = self.lsas.len();
         let mut ads = Vec::with_capacity(n);
@@ -176,8 +195,10 @@ pub struct Flooder {
 
 /// Messages exchanged by flooding: a single LSA per message (a
 /// simplification of OSPF-style bundling that keeps byte accounting
-/// transparent).
-pub type FloodMsg = Lsa;
+/// transparent). The payload is shared, never copied: channel faults drop
+/// messages but do not mutate them, so one immutable LSA can ride every
+/// hop of its flood.
+pub type FloodMsg = Arc<Lsa>;
 
 impl Flooder {
     /// A flooder for `me` in a network of `num_ads` ADs.
@@ -210,13 +231,13 @@ impl Flooder {
             seq: self.seq,
             links: links.len() as u64,
         });
-        let lsa = Lsa {
+        let lsa = Arc::new(Lsa {
             origin: self.me,
             seq: self.seq,
             level,
             links,
             policy,
-        };
+        });
         self.db.insert(lsa.clone());
         for (nbr, _) in ctx.neighbors() {
             ctx.send(nbr, lsa.clone());
@@ -297,9 +318,7 @@ impl Flooder {
     /// unacknowledged and provides no catch-up — and views would stay
     /// stale forever (the churn tests caught exactly that).
     pub fn resync(&mut self, ctx: &mut Ctx<'_, FloodMsg>, neighbor: AdId) {
-        let lsas: Vec<FloodMsg> = (0..self.db.num_ads())
-            .filter_map(|i| self.db.get(AdId(i as u32)).cloned())
-            .collect();
+        let lsas: Vec<FloodMsg> = self.db.lsas.iter().flatten().cloned().collect();
         ctx.count("ls_resync", 1);
         ctx.emit(EventRecord::LsaResync {
             at: self.me,
@@ -318,14 +337,14 @@ mod tests {
     use adroute_policy::PolicyAction;
     use adroute_topology::graph::make_ad;
 
-    fn lsa(origin: u32, seq: u64, nbrs: &[u32]) -> Lsa {
-        Lsa {
+    fn lsa(origin: u32, seq: u64, nbrs: &[u32]) -> Arc<Lsa> {
+        Arc::new(Lsa {
             origin: AdId(origin),
             seq,
             level: AdLevel::Campus,
             links: nbrs.iter().map(|&n| (AdId(n), 1, 1000)).collect(),
             policy: TransitPolicy::permit_all(AdId(origin)),
-        }
+        })
     }
 
     #[test]
@@ -372,8 +391,9 @@ mod tests {
     fn view_preserves_levels_metrics_and_roles() {
         let mut db = LsDb::new(2);
         let mut a = lsa(0, 1, &[1]);
-        a.level = AdLevel::Backbone;
-        a.links[0].1 = 7;
+        let a_mut = Arc::make_mut(&mut a);
+        a_mut.level = AdLevel::Backbone;
+        a_mut.links[0].1 = 7;
         db.insert(a);
         db.insert(lsa(1, 1, &[0]));
         let (topo, _) = db.view();

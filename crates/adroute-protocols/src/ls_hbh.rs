@@ -20,13 +20,14 @@
 //! routing.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use adroute_policy::{legality, FlowSpec, PolicyDb, TransitPolicy};
 use adroute_sim::{Ctx, Engine, MisbehaviorModel, MisbehaviorSpec, Protocol};
 use adroute_topology::{AdId, AdLevel, LinkId, Topology};
 
 use crate::forwarding::DataPlane;
-use crate::linkstate::{FloodMsg, Flooder};
+use crate::linkstate::{FloodMsg, Flooder, Lsa};
 
 /// Protocol configuration: the policies each AD will advertise in its
 /// LSAs, and the levels used in reconstruction.
@@ -167,9 +168,12 @@ impl Protocol for LsHbh {
         // the LSA, so flood fan-out anchors to the acceptance in the
         // causal log.
         r.flooder.handle(ctx, from, msg);
-        if let Some(mut forged) = stale {
+        if let Some(stale) = stale {
             r.replay_budget -= 1;
-            forged.seq = incoming_seq + 7;
+            let forged = Arc::new(Lsa {
+                seq: incoming_seq + 7,
+                ..(*stale).clone()
+            });
             ctx.count("lsa_replay_forged", 1);
             for (nbr, _) in ctx.neighbors() {
                 ctx.send(nbr, forged.clone());

@@ -156,7 +156,9 @@ proptest! {
     /// probed first — is legal under the *current* view, and the
     /// background-precompute scheduler refills only entries the current
     /// view revalidates. A stale hot handle surviving its LRU entry's
-    /// invalidation would surface here as an illegal served route.
+    /// invalidation would surface here as an illegal served route; the
+    /// invariant itself (every hot handle shadowed by an equal LRU entry)
+    /// is checked on every server after every operation.
     #[test]
     fn hot_tier_and_refills_stay_view_coherent(
         seed in 0u64..150,
@@ -170,9 +172,13 @@ proptest! {
         net.set_view_maintenance(ViewMaintenance::Incremental);
         // Warm through the request path: every answer lands in the LRU
         // *and* the hot tier fronting it.
+        let coherent = |net: &OrwgNetwork| {
+            topo.ad_ids().all(|ad| net.server(ad).hot_tier_is_coherent())
+        };
         for f in &flows {
             let _ = net.synthesize(f);
         }
+        prop_assert!(coherent(&net), "unshadowed hot handle after warm-up");
         for word in script {
             match decode(word, topo.num_links(), topo.num_ads()) {
                 Op::Fail(l) => net.fail_link(l),
@@ -186,12 +192,14 @@ proptest! {
                     net.change_policy(p);
                 }
             }
+            prop_assert!(coherent(&net), "unshadowed hot handle after a delta");
             // Run the background-precompute scheduler over the entries
             // the delta invalidated, then check every stored-state
             // answer (refilled or surviving) against the current view.
             for ad in topo.ad_ids() {
                 net.background_refill(ad, 64);
             }
+            prop_assert!(coherent(&net), "unshadowed hot handle after refills");
             for f in &flows {
                 if let Some(Some(r)) = net.server_mut(f.src).stored_route(f) {
                     prop_assert_eq!(
@@ -201,6 +209,7 @@ proptest! {
                     );
                 }
             }
+            prop_assert!(coherent(&net), "unshadowed hot handle after probes");
         }
     }
 }

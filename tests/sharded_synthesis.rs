@@ -124,6 +124,8 @@ proptest! {
                     &solo, &swept,
                     "answers diverged at shards={} chunk={}", shards, chunk
                 );
+                prop_assert!(mono.hot_tier_is_coherent(), "unshadowed hot handle (request loop)");
+                prop_assert!(batched.hot_tier_is_coherent(), "unshadowed hot handle (batch)");
             }
             prop_assert_eq!(
                 mono.stats, batched.stats,
