@@ -12,11 +12,12 @@ use adroute_core::{OrwgNetwork, Strategy};
 use adroute_policy::legality::legal_route;
 use adroute_policy::ordering::{random_constraints, solve_ordering};
 use adroute_policy::workload::PolicyWorkload;
+use adroute_policy::FlowSpec;
 use adroute_protocols::forwarding::sample_flows;
 use adroute_protocols::linkstate::LsDb;
 use adroute_protocols::ls_hbh::LsHbh;
 use adroute_sim::Engine;
-use adroute_topology::{AdId, HierarchyConfig, PartialOrder};
+use adroute_topology::{AdId, AdLevel, HierarchyConfig, PartialOrder};
 
 fn bench_oracle(c: &mut Criterion) {
     let topo = HierarchyConfig::with_approx_size(200, 41).generate();
@@ -24,6 +25,29 @@ fn bench_oracle(c: &mut Criterion) {
     let flows = sample_flows(&topo, 64, 41);
     let mut i = 0;
     c.bench_function("oracle_legal_route_200ads", |b| {
+        b.iter(|| {
+            let f = &flows[i % flows.len()];
+            i += 1;
+            black_box(legal_route(&topo, &db, f))
+        })
+    });
+}
+
+/// A one-hop search on a large internet: a campus AD to one of its
+/// providers settles about two states, so its cost must not grow with the
+/// link count (the search's scratch is reused and reset by epoch, never
+/// cleared).
+fn bench_oracle_adjacent(c: &mut Criterion) {
+    let topo = HierarchyConfig::with_approx_size(10_000, 41).generate();
+    let db = PolicyWorkload::default_mix(41).generate(&topo);
+    let flows: Vec<FlowSpec> = topo
+        .links()
+        .filter(|l| topo.ad(l.b).level == AdLevel::Campus)
+        .step_by(37)
+        .map(|l| FlowSpec::best_effort(l.b, l.a))
+        .collect();
+    let mut i = 0;
+    c.bench_function("oracle_legal_route_adjacent_10k_ads", |b| {
         b.iter(|| {
             let f = &flows[i % flows.len()];
             i += 1;
@@ -100,6 +124,7 @@ fn bench_workload_generation(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_oracle,
+    bench_oracle_adjacent,
     bench_ordering_solver,
     bench_lsdb_view,
     bench_orwg_data_plane,

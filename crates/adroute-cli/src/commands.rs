@@ -1873,6 +1873,9 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
         return bail("--workers must be positive");
     }
     let mut prof = Profiler::new();
+    // The engines' wall-side parallel and pool metrics (recorded only
+    // while the profiler is on); e14 runs no engine and reports zeros.
+    let mut wall = MetricsRegistry::new();
     let (ads, links);
     match scenario.as_str() {
         // Engine lifecycle (converge, cut the trunk, re-converge) plus a
@@ -1908,6 +1911,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             e.schedule_link_change(trunk, false, e.now().plus_us(1));
             run_quiesce(&mut e, workers);
             prof.merge_from(&e.prof);
+            wall.merge(&e.obs.metrics);
             let net = profile_ramp(
                 &sc.topo,
                 &db,
@@ -1957,6 +1961,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             e.enable_prof();
             run_quiesce(&mut e, workers);
             prof.merge_from(&e.prof);
+            wall.merge(&e.obs.metrics);
         }
         // Full sharded e9b serving: the serve_batch rungs, shared
         // sweeps, and background refill under the whole brownout ramp.
@@ -1984,10 +1989,21 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
     if json {
         let body = prof.to_json();
         let inner = &body[1..body.len() - 1];
+        let hist = |name: &str| {
+            wall.histogram(name)
+                .map_or_else(|| "null".to_string(), |h| h.to_json())
+        };
         let _ = writeln!(
             out,
             "{{\"profile\":{{\"scenario\":\"{scenario}\",\"ads\":{ads},\"links\":{links},\
-             \"workers\":{workers},{inner}}}}}"
+             \"workers\":{workers},{inner},\"wall_metrics\":{{\"parallel_windows\":{},\
+             \"lane_imbalance_us\":{},\"lookahead_stall_us\":{},\"pool_jobs_run\":{},\
+             \"pool_busy_us\":{}}}}}}}",
+            wall.counter("parallel_windows"),
+            hist("lane_imbalance_us"),
+            hist("lookahead_stall_us"),
+            wall.counter("pool_jobs_run"),
+            wall.counter("pool_busy_us")
         );
     } else if folded {
         out.push_str(&prof.fold());
@@ -3177,6 +3193,29 @@ mod tests {
         assert_eq!(work_object(&a), work_object(&b));
         let seq = run("profile e13 --ads 300 --workers 1 --json").unwrap();
         assert_eq!(work_object(&a), work_object(&seq));
+    }
+
+    /// The engine's parallel and pool metrics reach `profile --json`.
+    #[test]
+    fn profile_json_surfaces_parallel_wall_metrics() {
+        let a = run("profile e13 --ads 300 --workers 2 --json").unwrap();
+        let field = |key: &str| -> u64 {
+            let at = a
+                .find(&format!("\"{key}\":"))
+                .unwrap_or_else(|| panic!("no {key}: {a}"));
+            let rest = &a[at + key.len() + 3..];
+            let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap();
+            rest[..end].parse().unwrap()
+        };
+        assert!(field("parallel_windows") > 0, "{a}");
+        assert!(field("pool_jobs_run") > 0, "{a}");
+        field("pool_busy_us"); // present; may read 0 on a fast host
+        for hist in ["lane_imbalance_us", "lookahead_stall_us"] {
+            assert!(
+                a.contains(&format!("\"{hist}\":{{\"count\":")),
+                "no {hist}: {a}"
+            );
+        }
     }
 
     #[test]

@@ -13,10 +13,11 @@
 //! exactly the state space a Route Server must explore (`adroute-core`
 //! uses the same routine for synthesis).
 
+use std::cell::RefCell;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::{BinaryHeap, VecDeque};
 
-use adroute_topology::{AdId, Topology};
+use adroute_topology::{AdId, Link, LinkId, Topology};
 
 use crate::class::FlowSpec;
 use crate::db::PolicyDb;
@@ -89,79 +90,73 @@ pub fn legal_route_with(
         return None;
     }
 
-    // State: (current AD, previous AD). Start state uses prev = current
-    // (sentinel, never consulted because the source's own policy is not
-    // evaluated).
-    type State = (AdId, AdId);
-    let start: State = (flow.src, flow.src);
-    let mut dist: HashMap<State, u64> = HashMap::new();
-    let mut parent: HashMap<State, State> = HashMap::new();
-    let mut heap: BinaryHeap<Reverse<(u64, AdId, AdId)>> = BinaryHeap::new();
-    dist.insert(start, 0);
-    heap.push(Reverse((0, flow.src, flow.src)));
+    let (path, cost) = SCRATCH.with_borrow_mut(|sc| {
+        sc.begin(topo);
+        let start = start_state(topo);
+        sc.reach(start, 0, start);
+        sc.heap.push(Reverse((0, flow.src, flow.src, start)));
 
-    let mut best_final: Option<(u64, State)> = None;
-
-    while let Some(Reverse((cost, cur, prev))) = heap.pop() {
-        let state = (cur, prev);
-        if dist.get(&state).is_none_or(|&d| cost > d) {
-            continue;
-        }
-        stats.settled += 1;
-        if cur == flow.dst {
-            best_final = Some((cost, state));
-            break; // first settle of dst is optimal
-        }
-        for (nbr, link) in topo.neighbors(cur) {
-            stats.relaxations += 1;
-            if nbr == prev && cur != flow.src {
-                continue; // immediate backtrack is never useful
-            }
-            // The *current* AD (if transit) must permit forwarding from
-            // `prev` to `nbr`.
-            let transit_cost = if cur == flow.src {
-                0
-            } else {
-                match db.policy(cur).evaluate(flow, Some(prev), Some(nbr)) {
-                    Some(c) => u64::from(c),
-                    None => continue,
-                }
-            };
-            // Source route-selection: never transit an avoided AD.
-            if nbr != flow.dst && !selection.allows_transit(nbr) {
+        while let Some(Reverse((cost, cur, prev, state))) = sc.heap.pop() {
+            if sc.dist(state).is_none_or(|d| cost > d) {
                 continue;
             }
-            let ncost = cost + u64::from(topo.link(link).metric) + transit_cost;
-            let nstate: State = (nbr, cur);
-            if dist.get(&nstate).is_none_or(|&d| ncost < d) {
-                dist.insert(nstate, ncost);
-                parent.insert(nstate, state);
-                heap.push(Reverse((ncost, nbr, cur)));
+            stats.settled += 1;
+            if cur == flow.dst {
+                // First settle of dst is optimal.
+                return Some((sc.path_to(topo, flow.src, state), cost));
+            }
+            for (nbr, link) in topo.neighbors(cur) {
+                stats.relaxations += 1;
+                if nbr == prev && cur != flow.src {
+                    continue; // immediate backtrack is never useful
+                }
+                // The *current* AD (if transit) must permit forwarding from
+                // `prev` to `nbr`.
+                let transit_cost = if cur == flow.src {
+                    0
+                } else {
+                    match db.policy(cur).evaluate(flow, Some(prev), Some(nbr)) {
+                        Some(c) => u64::from(c),
+                        None => continue,
+                    }
+                };
+                // Source route-selection: never transit an avoided AD.
+                if nbr != flow.dst && !selection.allows_transit(nbr) {
+                    continue;
+                }
+                let l = topo.link(link);
+                let ncost = cost + u64::from(l.metric) + transit_cost;
+                let nstate = link_state(l, nbr);
+                if sc.dist(nstate).is_none_or(|d| ncost < d) {
+                    sc.reach(nstate, ncost, state);
+                    sc.heap.push(Reverse((ncost, nbr, cur, nstate)));
+                }
             }
         }
-    }
+        None
+    })?;
+    finish_route(topo, db, flow, selection, path, cost)
+}
 
-    let (cost, final_state) = best_final?;
-    // Reconstruct.
-    let mut path = Vec::new();
-    let mut cur = final_state;
-    loop {
-        path.push(cur.0);
-        if cur == start {
-            break;
-        }
-        cur = parent[&cur];
-    }
-    path.reverse();
-
+/// Post-processing shared by the solo search and the sweep, given the
+/// least-cost walk the state search settled. Touches no search counters.
+fn finish_route(
+    topo: &Topology,
+    db: &PolicyDb,
+    flow: &FlowSpec,
+    selection: &RouteSelection,
+    path: Vec<AdId>,
+    cost: u64,
+) -> Option<LegalRoute> {
     // The (current, previous) state graph searches *walks*; with policies
     // conditioned on the previous AD the optimal walk can, in adversarial
     // cases, revisit an AD. Inter-AD routes must be loop-free (paper
     // Section 2.1), so fall back to an exact simple-path search when that
     // happens. The walk cost is a valid lower bound for pruning.
     let has_revisit = {
-        let mut seen = std::collections::HashSet::new();
-        path.iter().any(|a| !seen.insert(*a))
+        let mut sorted = path.clone();
+        sorted.sort_unstable();
+        sorted.windows(2).any(|w| w[0] == w[1])
     };
     let route = if has_revisit {
         legal_route_bruteforce(topo, db, flow)?
@@ -256,121 +251,103 @@ pub fn legal_routes_sweep(
 
     if !swept.is_empty() {
         // Same loop as `legal_route_with`, minus the break at the (single)
-        // destination: instead, snapshot effort at each destination's
-        // first settle. Policy evaluation uses an arbitrary batch flow —
-        // sound because `db` is not dst-sensitive (checked above).
-        type State = (AdId, AdId);
+        // destination: instead, snapshot effort at each destination's first
+        // settle. Policy evaluation uses an arbitrary batch flow — sound
+        // because `db` is not dst-sensitive (checked above). The walks are
+        // read off before the scratch is released, since the post-processing
+        // may search again.
         let probe = flow_for(swept[0].1);
-        let start: State = (src, src);
-        let mut dist: HashMap<State, u64> = HashMap::new();
-        let mut parent: HashMap<State, State> = HashMap::new();
-        let mut heap: BinaryHeap<Reverse<(u64, AdId, AdId)>> = BinaryHeap::new();
-        dist.insert(start, 0);
-        heap.push(Reverse((0, src, src)));
-
-        let mut stats = SearchStats::default();
-        // First-settle snapshot per destination AD: final state plus the
-        // effort counters a solo run would have reported at its break.
-        let mut settle: HashMap<AdId, (State, SearchStats)> = HashMap::new();
-        let mut remaining: usize = {
-            let mut uniq: Vec<AdId> = swept.iter().map(|&(_, d)| d).collect();
-            uniq.sort_unstable();
-            uniq.dedup();
-            uniq.len()
-        };
-        let wanted: std::collections::HashSet<AdId> = swept.iter().map(|&(_, d)| d).collect();
-
-        while let Some(Reverse((cost, cur, prev))) = heap.pop() {
-            let state = (cur, prev);
-            if dist.get(&state).is_none_or(|&d| cost > d) {
-                continue;
-            }
-            stats.settled += 1;
-            if wanted.contains(&cur) && !settle.contains_key(&cur) {
-                // Solo for `cur` breaks exactly here, after counting this
-                // pop but before relaxing its edges.
-                settle.insert(cur, (state, stats));
-                remaining -= 1;
-                if remaining == 0 {
-                    break;
+        let (walks, total) = SCRATCH.with_borrow_mut(|sc| {
+            sc.begin(topo);
+            // First-settle snapshot per distinct destination AD: final state
+            // plus the effort counters a solo run would have reported at its
+            // break. `ad_mark[d] == epoch` flags a wanted AD, whose snapshot
+            // sits at `settles[ad_slot[d]]`.
+            let mut settles: Vec<Option<(u32, SearchStats)>> = Vec::new();
+            for &(_, d) in &swept {
+                if sc.ad_mark[d.index()] != sc.epoch {
+                    sc.ad_mark[d.index()] = sc.epoch;
+                    sc.ad_slot[d.index()] = settles.len() as u32;
+                    settles.push(None);
                 }
             }
-            for (nbr, link) in topo.neighbors(cur) {
-                stats.relaxations += 1;
-                if nbr == prev && cur != src {
+            let mut remaining = settles.len();
+            let start = start_state(topo);
+            sc.reach(start, 0, start);
+            sc.heap.push(Reverse((0, src, src, start)));
+
+            let mut stats = SearchStats::default();
+            while let Some(Reverse((cost, cur, prev, state))) = sc.heap.pop() {
+                if sc.dist(state).is_none_or(|d| cost > d) {
                     continue;
                 }
-                let transit_cost = if cur == src {
-                    0
-                } else {
-                    match db.policy(cur).evaluate(&probe, Some(prev), Some(nbr)) {
-                        Some(c) => u64::from(c),
-                        None => continue,
-                    }
-                };
-                // Swept destinations are never avoided, so the solo test
-                // `nbr != dst && !allows_transit(nbr)` reduces to this for
-                // every flow in the batch.
-                if !selection.allows_transit(nbr) {
-                    continue;
-                }
-                let ncost = cost + u64::from(topo.link(link).metric) + transit_cost;
-                let nstate: State = (nbr, cur);
-                if dist.get(&nstate).is_none_or(|&d| ncost < d) {
-                    dist.insert(nstate, ncost);
-                    parent.insert(nstate, state);
-                    heap.push(Reverse((ncost, nbr, cur)));
-                }
-            }
-        }
-
-        for (i, d) in swept {
-            let f = flow_for(d);
-            let entry = match settle.get(&d) {
-                // Unsettled: solo exhausts the identical heap, reporting
-                // the full-run totals.
-                None => (None, stats),
-                Some(&(fstate, st)) => {
-                    let mut path = Vec::new();
-                    let mut cur = fstate;
-                    loop {
-                        path.push(cur.0);
-                        if cur == start {
+                stats.settled += 1;
+                if sc.ad_mark[cur.index()] == sc.epoch {
+                    let slot = &mut settles[sc.ad_slot[cur.index()] as usize];
+                    if slot.is_none() {
+                        // Solo for `cur` breaks exactly here, after counting
+                        // this pop but before relaxing its edges.
+                        *slot = Some((state, stats));
+                        remaining -= 1;
+                        if remaining == 0 {
                             break;
                         }
-                        cur = parent[&cur];
                     }
-                    path.reverse();
-                    let cost = dist[&fstate];
-                    // Identical post-processing to `legal_route_with`:
-                    // revisiting walks fall back to the exact simple-path
-                    // search; selection rejection retries minimizing hops
-                    // when a hop bound is present. Neither touches stats.
-                    let has_revisit = {
-                        let mut seen = std::collections::HashSet::new();
-                        path.iter().any(|a| !seen.insert(*a))
-                    };
-                    let route = if has_revisit {
-                        legal_route_bruteforce(topo, db, &f)
-                    } else {
-                        Some(LegalRoute { path, cost })
-                    };
-                    let result = match route {
-                        None => None,
-                        Some(r) if selection.accepts(&r.path, r.cost) => Some(r),
-                        Some(_) if selection.max_hops.is_some() => {
-                            legal_route_min_hops(topo, db, &f, selection)
-                                .filter(|r| selection.accepts(&r.path, r.cost))
-                        }
-                        Some(_) => None,
-                    };
-                    (result, st)
                 }
-            };
-            out[i] = Some(entry);
+                for (nbr, link) in topo.neighbors(cur) {
+                    stats.relaxations += 1;
+                    if nbr == prev && cur != src {
+                        continue;
+                    }
+                    let transit_cost = if cur == src {
+                        0
+                    } else {
+                        match db.policy(cur).evaluate(&probe, Some(prev), Some(nbr)) {
+                            Some(c) => u64::from(c),
+                            None => continue,
+                        }
+                    };
+                    // Swept destinations are never avoided, so the solo test
+                    // `nbr != dst && !allows_transit(nbr)` reduces to this for
+                    // every flow in the batch.
+                    if !selection.allows_transit(nbr) {
+                        continue;
+                    }
+                    let l = topo.link(link);
+                    let ncost = cost + u64::from(l.metric) + transit_cost;
+                    let nstate = link_state(l, nbr);
+                    if sc.dist(nstate).is_none_or(|d| ncost < d) {
+                        sc.reach(nstate, ncost, state);
+                        sc.heap.push(Reverse((ncost, nbr, cur, nstate)));
+                    }
+                }
+            }
+
+            let walks: Vec<Option<(Vec<AdId>, u64, SearchStats)>> = swept
+                .iter()
+                .map(|&(_, d)| {
+                    settles[sc.ad_slot[d.index()] as usize].map(|(fstate, st)| {
+                        let cost = sc.dist(fstate).expect("settled state was reached");
+                        (sc.path_to(topo, src, fstate), cost, st)
+                    })
+                })
+                .collect();
+            (walks, stats)
+        });
+
+        for (&(i, d), walk) in swept.iter().zip(walks) {
+            out[i] = Some(match walk {
+                // Unsettled: solo exhausts the identical heap, reporting the
+                // full-run totals.
+                None => (None, total),
+                // Identical post-processing to `legal_route_with`.
+                Some((path, cost, st)) => (
+                    finish_route(topo, db, &flow_for(d), selection, path, cost),
+                    st,
+                ),
+            });
         }
     }
-
     out.into_iter()
         .map(|o| o.expect("every dst answered"))
         .collect()
@@ -385,51 +362,133 @@ fn legal_route_min_hops(
     flow: &FlowSpec,
     selection: &RouteSelection,
 ) -> Option<LegalRoute> {
-    type State = (AdId, AdId);
-    let start: State = (flow.src, flow.src);
-    let mut parent: HashMap<State, State> = HashMap::new();
-    let mut visited: std::collections::HashSet<State> = std::collections::HashSet::new();
-    let mut queue = std::collections::VecDeque::new();
-    visited.insert(start);
-    queue.push_back(start);
-    while let Some((cur, prev)) = queue.pop_front() {
-        if cur == flow.dst {
-            let mut path = Vec::new();
-            let mut s = (cur, prev);
-            loop {
-                path.push(s.0);
-                if s == start {
-                    break;
+    let path = SCRATCH.with_borrow_mut(|sc| {
+        sc.begin(topo);
+        let start = start_state(topo);
+        sc.reach(start, 0, start);
+        let mut queue = VecDeque::from([(flow.src, flow.src, start)]);
+        while let Some((cur, prev, state)) = queue.pop_front() {
+            if cur == flow.dst {
+                return Some(sc.path_to(topo, flow.src, state));
+            }
+            for (nbr, link) in topo.neighbors(cur) {
+                if nbr == prev && cur != flow.src {
+                    continue;
                 }
-                s = parent[&s];
+                if cur != flow.src
+                    && db
+                        .policy(cur)
+                        .evaluate(flow, Some(prev), Some(nbr))
+                        .is_none()
+                {
+                    continue;
+                }
+                if nbr != flow.dst && !selection.allows_transit(nbr) {
+                    continue;
+                }
+                let nstate = link_state(topo.link(link), nbr);
+                if sc.dist(nstate).is_none() {
+                    sc.reach(nstate, 0, state);
+                    queue.push_back((nbr, cur, nstate));
+                }
             }
-            path.reverse();
-            let cost = route_is_legal(topo, db, flow, &path)?;
-            return Some(LegalRoute { path, cost });
         }
-        for (nbr, _) in topo.neighbors(cur) {
-            if nbr == prev && cur != flow.src {
-                continue;
-            }
-            if cur != flow.src
-                && db
-                    .policy(cur)
-                    .evaluate(flow, Some(prev), Some(nbr))
-                    .is_none()
-            {
-                continue;
-            }
-            if nbr != flow.dst && !selection.allows_transit(nbr) {
-                continue;
-            }
-            let nstate = (nbr, cur);
-            if visited.insert(nstate) {
-                parent.insert(nstate, (cur, prev));
-                queue.push_back(nstate);
-            }
+        None
+    })?;
+    let cost = route_is_legal(topo, db, flow, &path)?;
+    Some(LegalRoute { path, cost })
+}
+
+/// Index of the search state `(cur, prev)` entered over link `l`:
+/// `2·l + (cur != l.a)`. Exact because a [`Topology`] has neither
+/// self-loops nor parallel links, so `l` names the AD pair.
+#[inline]
+fn link_state(l: &Link, cur: AdId) -> u32 {
+    2 * l.id.0 + u32::from(cur != l.a)
+}
+
+/// Index of the start state `(src, src)`, one past the link states.
+#[inline]
+fn start_state(topo: &Topology) -> u32 {
+    u32::try_from(2 * topo.num_links()).expect("state indices fit in u32")
+}
+
+/// Dense, reusable search state over the state indices of [`link_state`].
+///
+/// A state's `dist`/`parent` slots count as set only while its stamp
+/// equals the current search's `epoch`, so [`Scratch::begin`] resets the
+/// whole table by bumping the epoch and a search costs the states it
+/// touches, never `O(links)`. One scratch lives per thread.
+#[derive(Default)]
+struct Scratch {
+    epoch: u32,
+    stamp: Vec<u32>,
+    dist: Vec<u64>,
+    parent: Vec<u32>,
+    heap: BinaryHeap<Reverse<(u64, AdId, AdId, u32)>>,
+    /// Per-AD marks under the same epoch (the sweep's wanted set).
+    ad_mark: Vec<u32>,
+    /// Per-AD payload of a marked AD (the sweep's snapshot slot).
+    ad_slot: Vec<u32>,
+}
+
+impl Scratch {
+    /// Starts a new search over `topo`: grows the tables to its size and
+    /// invalidates every earlier entry.
+    fn begin(&mut self, topo: &Topology) {
+        let states = start_state(topo) as usize + 1;
+        if self.stamp.len() < states {
+            self.stamp.resize(states, 0);
+            self.dist.resize(states, 0);
+            self.parent.resize(states, 0);
+        }
+        if self.ad_mark.len() < topo.num_ads() {
+            self.ad_mark.resize(topo.num_ads(), 0);
+            self.ad_slot.resize(topo.num_ads(), 0);
+        }
+        self.heap.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: no stale stamp may alias a future epoch.
+            self.stamp.fill(0);
+            self.ad_mark.fill(0);
+            self.epoch = 1;
         }
     }
-    None
+
+    /// Best cost recorded for `state` in this search, if any.
+    #[inline]
+    fn dist(&self, state: u32) -> Option<u64> {
+        let s = state as usize;
+        (self.stamp[s] == self.epoch).then(|| self.dist[s])
+    }
+
+    #[inline]
+    fn reach(&mut self, state: u32, cost: u64, parent: u32) {
+        let s = state as usize;
+        self.stamp[s] = self.epoch;
+        self.dist[s] = cost;
+        self.parent[s] = parent;
+    }
+
+    /// The walk `src … cur` that ends in `state`, through the parent links.
+    fn path_to(&self, topo: &Topology, src: AdId, mut state: u32) -> Vec<AdId> {
+        let start = start_state(topo);
+        let mut path = Vec::new();
+        while state != start {
+            let l = topo.link(LinkId(state / 2));
+            path.push(if state & 1 == 0 { l.a } else { l.b });
+            state = self.parent[state as usize];
+        }
+        path.push(src);
+        path.reverse();
+        path
+    }
+}
+
+thread_local! {
+    /// The calling thread's search scratch; each search borrows it whole.
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
 }
 
 /// Checks a complete candidate route for legality, returning the total
@@ -709,6 +768,24 @@ mod tests {
     }
 
     use adroute_topology::Topology;
+
+    /// An epoch wrap must clear the stamps: otherwise a state stamped just
+    /// before the wrap reads as set once the epoch climbs back to it.
+    #[test]
+    fn scratch_epoch_wrap_leaves_no_stale_state() {
+        let t = ring(6);
+        let db = PolicyDb::permissive(&t);
+        let f = FlowSpec::best_effort(AdId(0), AdId(3));
+        let fresh = legal_route(&t, &db, &f);
+        SCRATCH.with_borrow_mut(|sc| sc.epoch = u32::MAX - 1);
+        // The first search stamps the states it reaches with u32::MAX; the
+        // second, in the other direction, touches none of them and wraps.
+        legal_route(&t, &db, &f);
+        legal_route(&t, &db, &FlowSpec::best_effort(AdId(3), AdId(0)));
+        // The next search runs at epoch u32::MAX again.
+        SCRATCH.with_borrow_mut(|sc| sc.epoch = u32::MAX - 1);
+        assert_eq!(legal_route(&t, &db, &f), fresh);
+    }
 
     #[test]
     fn sweep_matches_solo_on_ring() {
